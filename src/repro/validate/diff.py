@@ -61,15 +61,11 @@ def run_traced(
     batched: bool = True,
     sampling=None,
     label: str = "",
-    fused_mc: Optional[bool] = None,
 ) -> TracedRun:
     """Run one workload and capture its command transcript and stats.
 
     ``batched`` selects the core's trace representation (columnar fused
-    fast path vs per-item scalar dispatch) and, with it, the memory
-    controllers' fused drain; ``fused_mc=False`` pins the drain off
-    while keeping the batched core path (the ``--no-fused-mc`` escape
-    hatch).  ``sampling`` optionally runs under a
+    fast path vs per-item scalar dispatch).  ``sampling`` optionally runs under a
     :class:`~repro.sampling.plan.SamplingPlan` instead of full detail.
     """
     from ..system.machine import Machine
@@ -82,7 +78,6 @@ def run_traced(
         engine=engine,
         checkers=checkers,
         batched=batched,
-        fused_mc=fused_mc,
     )
     recorder = TranscriptRecorder()
     from .hooks import instrument_banks
@@ -276,14 +271,12 @@ def diff_batched(
 ) -> Tuple[DiffReport, TracedRun, TracedRun]:
     """Same workload, scalar vs batched execution strategy end to end.
 
-    The batched arm runs both fused fast paths — the core's L1-hit-run
-    dispatch *and* the memory controllers' fused miss-path drain (armed
-    by ``Machine`` whenever ``batched=True`` on an eligible config);
-    the scalar arm runs neither.  Both are pure execution-strategy
-    changes, so transcripts and stat tables must be bit-identical; any
-    difference is a fused-path bug.  ``checkers``/``sampling`` exercise
-    the seams: both fast paths stay active under instrumentation, and
-    the mixture must still match exactly.
+    The batched arm runs the core's fused L1-hit-run dispatch; the
+    scalar arm does not.  It is a pure execution-strategy change, so
+    transcripts and stat tables must be bit-identical; any difference
+    is a fused-path bug.  ``checkers``/``sampling`` exercise the seams:
+    the fast path stays active under instrumentation, and the mixture
+    must still match exactly.
     """
     lhs = run_traced(
         config, benchmarks, warmup=warmup, measure=measure, seed=seed,

@@ -1,26 +1,25 @@
-"""Miss-heavy synthetic workloads for the batched miss-path differential.
+"""Miss-heavy synthetic workloads for the scalar-vs-batched differential.
 
-The fused memory-controller drain only matters — and only engages — when
-the DRAM side dominates: deep MRQs, blocked cores, quiescent windows.
-The mixes here are built to put the drain (and its fallback seams) under
-maximal stress:
+The core's fused dispatch is exercised mostly by L1-hit streams; these
+mixes instead make the DRAM side dominate, so the batched core is also
+checked against the scalar core while its fast path keeps breaking on
+misses.  They stress deep MRQs, ROB-blocked cores and refresh
+straddling:
 
 ``streaming``
     Line-stride scans over a multi-megabyte span: every reference is a
     new line, MSHRs and the MRQ fill with overlapping misses, and the
-    cores ROB-block — the drain's best case.
+    cores ROB-block.
 ``pointer-chase``
     A full-period LCG walk with zero memory-level parallelism: the MRQ
-    holds at most one entry per core, so the drain must *refuse* to
-    engage (shallow-queue break) without perturbing anything.
+    holds at most one entry per core and every miss serializes.
 ``row-conflict-max``
     Row-size strides so consecutive DRAM commands open a new row every
-    time: exercises the activate/precharge arithmetic inside fused
-    windows.
+    time: exercises the activate/precharge arithmetic.
 ``refresh-straddling``
-    Sparse accesses separated by long instruction gaps: windows keep
-    running into refresh blackouts and the ``next_blackout_start``
-    barrier clamp decides correctness.
+    Sparse accesses separated by long instruction gaps: the memory
+    system idles across refresh-interval boundaries, so issues keep
+    landing in or next to refresh blackouts.
 
 Each mix is registered as a looping finite item list (same idiom as the
 randomized equivalence property tests), with a ``batch_factory`` at a
@@ -95,8 +94,8 @@ def _items_row_conflict(seed: int) -> List[Tuple[int, int, int, int]]:
 
 def _items_refresh_straddle(seed: int) -> List[Tuple[int, int, int, int]]:
     # Sparse misses with long instruction gaps between them: the memory
-    # system idles across refresh-interval boundaries, so any fused
-    # window that does open tends to run into a blackout barrier.
+    # system idles across refresh-interval boundaries, so commands keep
+    # running into refresh blackouts.
     rng = random.Random(seed)
     items = []
     addr = 0

@@ -140,14 +140,13 @@ def test_native_producer_matches_batch_iter_adapter():
 
 
 # ---------------------------------------------------------------------------
-# Miss-heavy mixes: the memory-controller fused drain under stress.
+# Miss-heavy mixes: the batched core under DRAM-bound traffic.
 # ---------------------------------------------------------------------------
 #
-# The random mix above is mostly L1 hits, so it exercises the *core*
-# fused dispatch.  The mixes below are DRAM-bound: deep MRQs, blocked
-# cores, row conflicts, refresh blackouts, MSHR backpressure.  In
-# batched mode the Machine also arms the memory-controller fused drain,
-# so this diff covers both fast paths against the fully scalar machine.
+# The random mix above is mostly L1 hits, so the core's fused dispatch
+# mostly succeeds.  The mixes below are DRAM-bound: deep MRQs, blocked
+# cores, row conflicts, refresh blackouts, MSHR backpressure, so the
+# fast path keeps breaking off into the scalar path mid-run.
 
 from repro.validate import missheavy
 
@@ -198,7 +197,7 @@ def miss_heavy_benchmark(request):
     ],
 )
 def test_miss_heavy_stats_bit_identical(miss_heavy_benchmark):
-    kind, name = miss_heavy_benchmark
+    _, name = miss_heavy_benchmark
     scalar_result, scalar_stats, scalar_machine = _run_mc(name, batched=False)
     batched_result, batched_stats, batched_machine = _run_mc(name, batched=True)
     assert batched_stats == scalar_stats
@@ -207,24 +206,10 @@ def test_miss_heavy_stats_bit_identical(miss_heavy_benchmark):
     for bcore, score in zip(batched_result.cores, scalar_result.cores):
         assert bcore.avg_load_latency == score.avg_load_latency
         assert bcore.l2_mpki == score.l2_mpki
-    assert not scalar_machine.fused_mc_enabled
-    assert batched_machine.fused_mc_enabled
     assert (
         batched_machine.engine.events_fired
         <= scalar_machine.engine.events_fired
     )
-    if kind == "streaming":
-        # The drain's best case must actually engage, otherwise this
-        # differential is scalar-vs-scalar and proves nothing.
-        fused = sum(
-            mc.fused_stats()["fused_issues"]
-            for mc in batched_machine.memory.controllers
-        )
-        assert fused > 0
-        assert (
-            batched_machine.engine.events_fired
-            < scalar_machine.engine.events_fired
-        )
 
 
 def test_miss_heavy_single_entry_mshr_bit_identical():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.common.errors import SnapshotSchemaError
 from repro.common.request import AccessType, MemoryRequest
 from repro.dram.device import DramDevice
 from repro.dram.timing import ddr2_commodity
@@ -142,3 +143,12 @@ def test_row_hit_rate_stat():
 def test_rejects_bad_quantum():
     with pytest.raises(ValueError):
         _mc(Engine(), quantum=0)
+
+
+def test_restore_refuses_v1_state():
+    # A state from another seam version is refused, never guessed at.
+    mc = _mc(Engine())
+    with pytest.raises(SnapshotSchemaError) as excinfo:
+        mc.restore_state({"v": 1, "fused_enabled": True}, ctx=None)
+    assert excinfo.value.found == 1
+    assert excinfo.value.expected == 2

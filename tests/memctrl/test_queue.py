@@ -4,7 +4,7 @@ import pytest
 
 from repro.common.request import AccessType, MemoryRequest
 from repro.memctrl.mapping import AddressMapping
-from repro.memctrl.queue import MemoryRequestQueue
+from repro.memctrl.queue import MemoryRequestQueue, MrqEntry
 
 
 def _entry_args(addr=0x1000):
@@ -48,3 +48,15 @@ def test_occupancy():
 def test_capacity_validation():
     with pytest.raises(ValueError):
         MemoryRequestQueue(capacity=0)
+
+
+def test_queue_push_returns_entry_with_bank():
+    queue = MemoryRequestQueue(capacity=2)
+    bank = object()
+    entry = queue.push(*_entry_args(), now=5, bank=bank)
+    assert isinstance(entry, MrqEntry)
+    assert entry.bank is bank
+    assert entry.arrival == 5
+    assert queue.is_full is False
+    queue.push(*_entry_args(addr=0x2000), now=6, bank=object())
+    assert queue.is_full is True

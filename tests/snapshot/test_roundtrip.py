@@ -40,9 +40,9 @@ def _shapes():
         ("checkers", _small(config_2d()), {"checkers": "all"}),
         ("scalar", fast, {"batched": False}),
         (
-            "fused-mc",
+            "miss-heavy",
             fast.derive(name="3d-fast-mh", l2_size=64 * 1024, l2_assoc=8),
-            {"fused_mc": True},
+            {},
         ),
         ("l4-cache", _small(config_l4_cache(base=config_3d_fast())), {}),
         (
