@@ -33,6 +33,7 @@ from ..common.stats import StatRegistry
 from ..engine.simulator import Engine
 from ..cache.l1 import L1Cache
 from ..cache.prefetch import IpStridePrefetcher, NextLinePrefetcher
+from ..cache.replacement import LruPolicy
 from .trace import BatchedTrace, Trace, TraceItem
 
 _READ = AccessType.READ
@@ -105,6 +106,7 @@ class Core:
         "_fuse_fails",
         "_fuse_skip",
         "_hit_fast",
+        "_skip_direct",
     )
 
     def __init__(
@@ -201,6 +203,20 @@ class Core:
         # call matches l1.access + _on_data exactly.
         self._hit_fast = (
             isinstance(l1, L1Cache) and l1.array._set_mask is not None
+        )
+        # Column-direct functional skip (see _skip_columns): the same
+        # power-of-two indexing, plus a TLB that shares the allocator's
+        # page size so one shift yields both VPNs.
+        self._skip_direct = (
+            self._cursor is not None
+            and self._hit_fast
+            and (
+                tlb is None
+                or (
+                    tlb._set_mask is not None
+                    and tlb._page_shift == self._page_shift
+                )
+            )
         )
 
     def _compute_fuse_ready(self) -> bool:
@@ -301,7 +317,17 @@ class Core:
 
         Consumes the trace and applies every reference to the TLB and
         cache hierarchy through their functional (state-only) paths — no
-        events, no timing, no statistics.
+        events, no timing, no statistics.  A parked op (ROB stall, TLB
+        walk or MSHR reject) is applied first.
+
+        With a columnar trace and power-of-two TLB/L1 indexing the skip
+        reads the batch columns directly and inlines the TLB touch, the
+        page-table hit and the L1 tag hit (see :meth:`_skip_columns`);
+        only L1 misses leave the core, straight to the next level's
+        functional fetch.  Otherwise each item goes through
+        ``Tlb.touch``, ``PageAllocator.translate`` and
+        ``L1Cache.functional_access`` (see :meth:`_skip_rows`).  Both
+        make the same state transitions in the same order.
 
         In-flight ops are *orphaned*, not drained: their memory requests
         stay in the MSHRs and controller queues and complete later at
@@ -315,27 +341,10 @@ class Core:
         """
         start = self.icount
         target = start + instructions
-        item = self._pending_item
-        self._pending_item = None
-        trace = self.trace
-        tlb_touch = self.tlb.touch if self.tlb is not None else None
-        translate = self.allocator.translate
-        functional_access = self.l1.functional_access
-        icount = start
-        pulled = 0
-        while icount < target:
-            if item is None:
-                item = next(trace)
-                pulled += 1
-            icount += item.gap + 1
-            addr = item.addr
-            if tlb_touch is not None:
-                tlb_touch(addr)
-            functional_access(translate(addr), item.pc, item.is_write)
-            item = None
-        if self._cursor is None:
-            self._trace_items += pulled
-        self.icount = icount
+        if self._skip_direct:
+            self.icount = self._skip_columns(start, target)
+        else:
+            self.icount = self._skip_rows(start, target)
         # Orphan whatever was in flight: completions still arrive (and
         # count their real latencies) but nothing is left to commit.
         self._outstanding.clear()
@@ -351,6 +360,132 @@ class Core:
         if not self._paused:
             self._schedule_dispatch(now)
         return self.icount - start
+
+    def _skip_rows(self, icount: int, target: int) -> int:
+        """Row-form functional skip: one TraceItem and method chain per op."""
+        item = self._pending_item
+        self._pending_item = None
+        trace = self.trace
+        tlb_touch = self.tlb.touch if self.tlb is not None else None
+        translate = self.allocator.translate
+        functional_access = self.l1.functional_access
+        pulled = 0
+        while icount < target:
+            if item is None:
+                item = next(trace)
+                pulled += 1
+            icount += item.gap + 1
+            addr = item.addr
+            if tlb_touch is not None:
+                tlb_touch(addr)
+            functional_access(translate(addr), item.pc, item.is_write)
+            item = None
+        if self._cursor is None:
+            self._trace_items += pulled
+        return icount
+
+    def _skip_columns(self, icount: int, target: int) -> int:
+        """Column-direct functional skip over the cursor's batches.
+
+        Per op: the ``Tlb.touch`` transitions, the page-table hit of
+        ``PageAllocator.translate`` and the hit half of
+        ``L1Cache.functional_access`` (``CacheArray.touch``), inlined.
+        An L1 miss takes the rest of ``functional_access`` — next-level
+        ``functional_fetch``, ``array.fill``, dirty-victim
+        ``functional_writeback`` — without probing the tags again.
+        """
+        item = self._pending_item
+        if item is not None:
+            self._pending_item = None
+            if icount < target:
+                icount += item.gap + 1
+                addr = item.addr
+                if self.tlb is not None:
+                    self.tlb.touch(addr)
+                self.l1.functional_access(
+                    self.allocator.translate(addr), item.pc, item.is_write
+                )
+        tlb = self.tlb
+        tlb_sets = tlb_mask = tlb_assoc = None
+        if tlb is not None:
+            tlb_sets = tlb._sets
+            tlb_mask = tlb._set_mask
+            tlb_assoc = tlb.assoc
+        allocator = self.allocator
+        page_table = allocator._page_table
+        translate = allocator.translate
+        offset_mask = allocator._offset_mask
+        page_shift = self._page_shift
+        l1 = self.l1
+        array = l1.array
+        sets = array._sets
+        align_mask = array._align_mask
+        line_shift = array._line_shift
+        set_mask = array._set_mask
+        # LRU's access hook is move_to_end; other policies keep their
+        # own per-set metadata and go through the hook.
+        on_access = (
+            None if isinstance(array.policy, LruPolicy) else array._on_access
+        )
+        fill = array.fill
+        functional_fetch = l1.l2.functional_fetch
+        functional_writeback = l1.l2.functional_writeback
+        core_id = self.core_id
+        cursor = self._cursor
+        batch = cursor.batch
+        i = cursor.index
+        if batch is None:
+            n = 0
+        else:
+            n = batch.length
+            gaps = batch.gaps
+            addrs = batch.addrs
+            writes = batch.writes
+            pcs = batch.pcs
+        while icount < target:
+            if i >= n:
+                batch = cursor.advance_batch()
+                i = 0
+                n = batch.length
+                gaps = batch.gaps
+                addrs = batch.addrs
+                writes = batch.writes
+                pcs = batch.pcs
+            icount += gaps[i] + 1
+            addr = addrs[i]
+            vpn = addr >> page_shift
+            if tlb_sets is not None:
+                tlb_set = tlb_sets[vpn & tlb_mask]
+                if vpn in tlb_set:
+                    tlb_set.move_to_end(vpn)
+                else:
+                    if len(tlb_set) >= tlb_assoc:
+                        tlb_set.popitem(last=False)
+                    tlb_set[vpn] = True
+            frame = page_table.get(vpn)
+            if frame is None:
+                paddr = translate(addr)
+            else:
+                paddr = (frame << page_shift) | (addr & offset_mask)
+            line = paddr & align_mask
+            set_idx = (line >> line_shift) & set_mask
+            cache_set = sets[set_idx]
+            if line in cache_set:
+                if writes[i]:
+                    cache_set[line] = True
+                if on_access is None:
+                    cache_set.move_to_end(line)
+                else:
+                    on_access(cache_set, set_idx, line)
+            else:
+                is_write = writes[i] != 0
+                functional_fetch(line, core_id, pcs[i])
+                victim = fill(line, is_write)
+                if victim is not None and victim[1]:
+                    functional_writeback(victim[0])
+            i += 1
+        cursor.index = i
+        return icount
 
     @property
     def ipc(self) -> float:

@@ -5,7 +5,9 @@ runs) is an execution strategy, not a model change — every stat table
 must be bit-identical to the per-item scalar dispatch loop.  These
 property tests drive both modes over randomized traces that mix L1
 hits, misses, writes and TLB misses, at batch sizes chosen to stress
-batch boundaries (1, 2, odd, huge), and diff the complete stat dump.
+batch boundaries (1, 2, odd, huge), and diff the complete stat dump —
+both in full detail and under a sampling plan, whose functional skips
+read the batch columns directly on the batched side.
 """
 
 import random
@@ -13,6 +15,7 @@ import random
 import pytest
 
 from repro.cpu.trace import batch_iter
+from repro.sampling.plan import SamplingPlan
 from repro.system.config import config_2d
 from repro.system.machine import Machine
 from repro.workloads.benchmarks import BENCHMARKS, BenchmarkSpec
@@ -75,29 +78,35 @@ def random_benchmark(request):
     BENCHMARKS.pop(name, None)
 
 
-def _run(name: str, batched: bool):
-    config = config_2d().derive(name="2D-1c", num_cores=1)
+# Small alternating schedule: several functional skips per run, so the
+# column-direct skip loop crosses batch boundaries at every batch size.
+_PLAN = SamplingPlan(
+    detailed=300, warmup=900, detail_warmup=100, min_intervals=2
+)
+
+
+def _run(name: str, batched: bool, sampled: bool = False, **overrides):
+    config = config_2d().derive(name="2D-1c", num_cores=1, **overrides)
     machine = Machine(
         config, [name], seed=7, workload_name=name, batched=batched
     )
-    result = machine.run(
-        warmup_instructions=_WARMUP, measure_instructions=_MEASURE
-    )
+    if sampled:
+        result = machine.run_sampled(
+            _PLAN, warmup_instructions=_WARMUP, measure_instructions=_MEASURE
+        )
+    else:
+        result = machine.run(
+            warmup_instructions=_WARMUP, measure_instructions=_MEASURE
+        )
     return result, machine.registry.dump(), machine.engine.events_fired
 
 
-@pytest.mark.parametrize(
-    "random_benchmark",
-    [(11, 1), (11, 2), (23, 7), (23, 4096)],
-    indirect=True,
-    ids=["batch1", "batch2", "batch-odd", "batch-huge"],
-)
-def test_random_mix_stats_bit_identical(random_benchmark):
+def _assert_bit_identical(name: str, sampled: bool, **overrides):
     scalar_result, scalar_stats, scalar_events = _run(
-        random_benchmark, batched=False
+        name, batched=False, sampled=sampled, **overrides
     )
     batched_result, batched_stats, batched_events = _run(
-        random_benchmark, batched=True
+        name, batched=True, sampled=sampled, **overrides
     )
     assert batched_stats == scalar_stats
     assert batched_result.hmipc == scalar_result.hmipc
@@ -112,6 +121,35 @@ def test_random_mix_stats_bit_identical(random_benchmark):
     # must actually engage (strictly fewer events), not silently fall
     # back to scalar dispatch everywhere.
     assert batched_events < scalar_events
+
+
+_BATCH_SIZES = dict(
+    argvalues=[(11, 1), (11, 2), (23, 7), (23, 4096)],
+    indirect=True,
+    ids=["batch1", "batch2", "batch-odd", "batch-huge"],
+)
+
+
+@pytest.mark.parametrize("random_benchmark", **_BATCH_SIZES)
+def test_random_mix_stats_bit_identical(random_benchmark):
+    _assert_bit_identical(random_benchmark, sampled=False)
+
+
+@pytest.mark.parametrize("random_benchmark", **_BATCH_SIZES)
+def test_random_mix_sampled_stats_bit_identical(random_benchmark):
+    _assert_bit_identical(random_benchmark, sampled=True)
+
+
+@pytest.mark.parametrize(
+    "random_benchmark", [(23, 7)], indirect=True, ids=["batch-odd"]
+)
+def test_random_mix_sampled_plru_bit_identical(random_benchmark):
+    """A non-LRU L1 takes the replacement-policy hook in the skip loop."""
+    # Tree-PLRU needs power-of-two ways; 16 KiB keeps 32 sets.
+    _assert_bit_identical(
+        random_benchmark, sampled=True,
+        l1_size=16 * 1024, l1_assoc=8, l1_replacement="plru",
+    )
 
 
 def test_native_producer_matches_batch_iter_adapter():

@@ -135,3 +135,71 @@ def test_skip_ahead_orphans_in_flight_work():
         core.committed > prev
         for core, prev in zip(machine.cores, committed)
     )
+
+
+# ----------------------------------------------------------------------
+# Column-direct skip: a batched core fast-forwards straight off the
+# trace columns, and lands in the same state as the row-form skip.
+
+
+def test_batched_skip_reads_columns_not_items(monkeypatch):
+    from repro.cpu.trace import BatchCursor
+
+    def no_items(self):
+        raise AssertionError("skip_ahead built a TraceItem")
+
+    monkeypatch.setattr(BatchCursor, "next_item", no_items)
+    mix = MIXES["H1"]
+    machine = Machine(
+        config_2d(), list(mix.benchmarks), seed=42, workload_name=mix.name
+    )
+    _functional_skip(machine, 2000)
+    for core in machine.cores:
+        assert core.icount >= 2000
+
+
+def _sets(array):
+    return [list(cache_set.items()) for cache_set in array._sets]
+
+
+def _stopped_mid_flight(batched: bool) -> Machine:
+    mix = MIXES["H1"]
+    machine = Machine(
+        config_2d(), list(mix.benchmarks), seed=42,
+        workload_name=mix.name, batched=batched,
+    )
+    for core in machine.cores:
+        core.start()
+    machine.engine.run(until=3000)
+    return machine
+
+
+def test_parked_item_skip_matches_row_form():
+    batched = _stopped_mid_flight(batched=True)
+    scalar = _stopped_mid_flight(batched=False)
+    # H1 at cycle 3000 parks ops behind both the ROB gate and a full L1
+    # MSHR file, a store among them.
+    parked = [core._pending_item for core in batched.cores]
+    assert any(item is not None and item.is_write for item in parked)
+    assert any(core._rob_blocked for core in batched.cores)
+    assert parked == [core._pending_item for core in scalar.cores]
+
+    for bcore, score in zip(batched.cores, scalar.cores):
+        assert bcore._skip_direct and not score._skip_direct
+        assert bcore.skip_ahead(700) == score.skip_ahead(700)
+        assert bcore._pending_item is None and score._pending_item is None
+
+    for bcore, score in zip(batched.cores, scalar.cores):
+        assert _sets(bcore.l1.array) == _sets(score.l1.array)
+        assert [list(s) for s in bcore.tlb._sets] == [
+            list(s) for s in score.tlb._sets
+        ]
+        assert bcore.icount == score.icount
+        # Same trace position: both streams continue with the same ops.
+        assert [next(bcore.trace) for _ in range(5)] == [
+            next(score.trace) for _ in range(5)
+        ]
+    assert _sets(batched.l2.array) == _sets(scalar.l2.array)
+    assert list(batched.allocator._page_table.items()) == list(
+        scalar.allocator._page_table.items()
+    )
